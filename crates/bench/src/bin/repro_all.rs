@@ -1,6 +1,6 @@
-//! Runs every experiment in the reproduction index (DESIGN.md §4) in
-//! sequence: the paper's Figs. 2–7 plus the extension experiments
-//! E7–E11. CSVs land in `results/`.
+//! Runs every experiment in the reproduction index (the `experiments`
+//! list below, which is that index) in sequence: the paper's Figs. 2–7
+//! plus the extension experiments E7–E11. CSVs land in `results/`.
 //!
 //! Full run is minutes of CPU; set `GOSSIP_REPS_SCALE=0.2` for a smoke
 //! pass.

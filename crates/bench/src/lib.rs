@@ -1,9 +1,9 @@
 //! Shared harness for the figure-reproduction binaries.
 //!
 //! Each binary in `src/bin/` regenerates one artifact of the paper's
-//! evaluation (see DESIGN.md §4 for the experiment index): it prints an
-//! aligned table of the same series the paper plots and writes a CSV
-//! into `results/`. This module holds the table/CSV/plot plumbing and
+//! evaluation (the experiment index is the list in
+//! `src/bin/repro_all.rs`): it prints an aligned table of the same
+//! series the paper plots and writes a CSV into `results/`. This module holds the table/CSV/plot plumbing and
 //! the experiment defaults so the binaries stay declarative.
 
 use std::fmt::Write as _;

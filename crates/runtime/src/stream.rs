@@ -130,7 +130,8 @@ pub(crate) struct StreamExecParams<'a> {
     pub n: usize,
     pub dist: &'a dyn FanoutDistribution,
     pub loss: f64,
-    pub hop_ms: u64,
+    /// One round of the virtual clock (the constant hop), in ns.
+    pub round_ns: u64,
     pub spec: &'a TrafficSpec,
     pub injections: &'a [u64],
     pub q: f64,
@@ -159,11 +160,7 @@ impl StreamActor {
             n: total as u32,
             exec_seed,
             seen: vec![false; p.injections.len()],
-            bucket: Bucket::new(
-                p.hop_ms * NS_PER_MS,
-                p.spec.bandwidth,
-                p.spec.queue_capacity,
-            ),
+            bucket: Bucket::new(p.round_ns, p.spec.bandwidth, p.spec.queue_capacity),
             hist: Vec::new(),
             max_round: 0,
             copies_created: 0,
@@ -176,8 +173,9 @@ impl StreamActor {
 
     fn record_delivery(&mut self, msg: u32, arrival_ns: u64, p: &StreamExecParams<'_>) {
         let inject_round = p.injections[msg as usize];
-        let inject_ns = inject_round * p.hop_ms * NS_PER_MS;
-        let delta_rounds = arrival_ns.saturating_sub(inject_ns) / (p.hop_ms * NS_PER_MS).max(1);
+        // Cannot wrap: the plan horizon was checked against the clock.
+        let inject_ns = inject_round * p.round_ns;
+        let delta_rounds = arrival_ns.saturating_sub(inject_ns) / p.round_ns;
         let idx = delta_rounds as usize;
         if self.hist.len() <= idx {
             self.hist.resize(idx + 1, 0);
@@ -236,7 +234,7 @@ impl StreamActor {
                     id: self.exec_seed,
                     from: self.id,
                     hop: 1,
-                    arrival_virtual_ns: send_ns + p.hop_ms * NS_PER_MS,
+                    arrival_virtual_ns: send_ns + p.round_ns,
                     ids: chunk.to_vec(),
                 };
                 if !ep.send(to, &msg) {
@@ -383,7 +381,7 @@ where
                         id: exec_seed,
                         from: SOURCE,
                         hop: 0,
-                        arrival_virtual_ns: round * p.hop_ms * NS_PER_MS,
+                        arrival_virtual_ns: round * p.round_ns,
                         ids: chunk.to_vec(),
                     },
                 );
@@ -472,6 +470,23 @@ fn check_stream_support(backend: &'static str, scenario: &Scenario) -> Result<()
     }
 }
 
+/// One round of the virtual clock in ns. The clock counts nanoseconds
+/// in u64, so a plan whose last injection, priced at the hop latency,
+/// would not leave half the clock for the dissemination after it is
+/// refused typed instead of wrapping.
+fn clock_round_ns(hop_ms: u64, injections: &[u64]) -> Result<u64, ModelError> {
+    let last = injections.last().copied().unwrap_or(0);
+    hop_ms
+        .checked_mul(NS_PER_MS)
+        .filter(|&ns| last.checked_mul(ns).is_some_and(|at| at <= u64::MAX / 2))
+        .ok_or(ModelError::InvalidParameter {
+            name: "ms",
+            value: hop_ms as f64,
+            requirement: "a live stream's last injection round times the hop latency must fit \
+                          half the runtime's u64 nanosecond clock",
+        })
+}
+
 /// Evaluates the scenario's [`TrafficSpec`] live: sequential
 /// replications (each already fans out over shard threads), per-message
 /// take-off conditioning, and the same [`TrafficReport`] shape as the
@@ -503,11 +518,12 @@ where
         k,
         SplitMix64::derive(scenario.seed, TRAFFIC_PLAN_STREAM),
     );
+    let round_ns = clock_round_ns(hop_ms, &injections)?;
     let params = StreamExecParams {
         n: scenario.n,
         dist: &*dist,
         loss: scenario.loss,
-        hop_ms,
+        round_ns,
         spec: &spec,
         injections: &injections,
         q,
@@ -669,5 +685,40 @@ mod tests {
         assert_eq!(b.schedule(0), None);
         // A frame ready in a later round starts a fresh window.
         assert_eq!(b.schedule(5 * NS_PER_MS), Some(5 * NS_PER_MS));
+    }
+
+    #[test]
+    fn plan_horizon_is_checked_against_the_clock() {
+        use gossip_traffic::MAX_INJECTION_ROUND;
+        // Half the clock over the longest plan: 2^63 / 2^32 ns = 2147.48 ms.
+        let plan = [0, MAX_INJECTION_ROUND];
+        assert_eq!(clock_round_ns(2147, &plan), Ok(2147 * NS_PER_MS));
+        assert!(matches!(
+            clock_round_ns(2148, &plan),
+            Err(ModelError::InvalidParameter { name: "ms", .. })
+        ));
+        assert!(clock_round_ns(u64::MAX / 1000, &[0]).is_err());
+    }
+
+    #[test]
+    fn overflowing_plan_is_refused_before_running() {
+        use crate::RuntimeBackend;
+        use gossip_model::scenario::{Backend, FanoutSpec};
+        use gossip_traffic::{ArrivalSpec, MAX_INJECTION_ROUND};
+        // A valid plan (last injection at round 2^32) whose horizon at a
+        // 5 s hop is 2.1e19 ns, past u64: a typed refusal, no actor runs.
+        let scenario = Scenario::new(16, FanoutSpec::poisson(4.0))
+            .with_latency(LatencySpec::ConstantMillis { ms: 5000 })
+            .with_traffic(
+                TrafficSpec::stream(2).with_arrival(ArrivalSpec::FixedInterval {
+                    every_rounds: MAX_INJECTION_ROUND,
+                }),
+            );
+        assert!(scenario.validate().is_ok());
+        let err = RuntimeBackend::channel().evaluate(&scenario).unwrap_err();
+        assert!(
+            matches!(err, ModelError::InvalidParameter { name: "ms", .. }),
+            "{err:?}"
+        );
     }
 }

@@ -20,47 +20,172 @@
 //!   and accounts every id on it as overflow. Loss is drawn per frame:
 //!   a lost batched frame loses all its ids (shared fate).
 //!
+//! ## Storage
+//!
+//! A frame is 12 bytes (`to`, `at`, `len`). A single-id frame keeps its
+//! id in `at`; a multi-id chunk is appended once per relay group to a
+//! per-replication id pool that every target's frame shares, and `at`
+//! is its offset there. All send queues live in one slab of frame
+//! slots: each node keeps the `head`/`tail`/`len` of an intrusive FIFO
+//! threaded through the slots, and drained slots go back on a free
+//! list, so there is no per-node allocation and memory scales with the
+//! frames alive at once. A busy-node bitset marks the nonempty queues;
+//! the transmit step visits only those, in ascending node order by a
+//! word scan with `trailing_zeros`. Ascending order plus FIFO order
+//! fixes the order of the loss draws and of the next round's arrivals,
+//! so the output is a function of the RNG alone, not of the layout.
+//!
 //! The engine is deterministic — a pure function of the RNG, the
 //! parameters, and the fanout closure — and terminates: every nonempty
 //! queue transmits at least one frame per round and the total relay
 //! volume is finite. Fanout sampling is a closure so this crate needs
 //! no dependency on the model layer's distribution trait.
 
-use std::collections::VecDeque;
-
 use gossip_stats::rng::Xoshiro256StarStar;
 
 use crate::spec::MAX_FRAME_IDS;
 
-/// One wire frame: up to [`MAX_FRAME_IDS`] message ids headed to one
-/// node, stored inline so the hot path never allocates per frame.
-#[derive(Clone, Copy, Debug)]
-pub struct Frame {
-    /// Destination node.
-    pub to: u32,
-    /// Number of live entries in `ids`.
-    pub len: u8,
-    /// Message ids carried, `ids[..len as usize]`.
-    pub ids: [u32; MAX_FRAME_IDS],
+/// End of a slot chain (empty queue, empty free list).
+const NIL: u32 = u32::MAX;
+
+/// One wire frame, queued or in flight: `len` message ids headed to
+/// node `to`. With `len == 1` the id itself is `at`; otherwise the ids
+/// are `pool[at..at + len]` in the replication's id pool.
+#[derive(Clone, Copy)]
+struct Frame {
+    to: u32,
+    at: u32,
+    len: u32,
 }
 
 impl Frame {
-    fn new(to: u32) -> Self {
-        Frame {
-            to,
-            len: 0,
-            ids: [0; MAX_FRAME_IDS],
+    /// The message ids this frame carries.
+    #[inline]
+    fn ids<'a>(&'a self, pool: &'a [u32]) -> &'a [u32] {
+        if self.len == 1 {
+            std::slice::from_ref(&self.at)
+        } else {
+            &pool[self.at as usize..][..self.len as usize]
         }
     }
+}
 
-    /// The live message ids on this frame.
-    pub fn ids(&self) -> &[u32] {
-        &self.ids[..self.len as usize]
+/// A slab slot: a frame and the next slot of its queue (or of the free
+/// list).
+#[derive(Clone, Copy)]
+struct Slot {
+    frame: Frame,
+    next: u32,
+}
+
+/// One node's send queue, an intrusive FIFO over slab slots.
+#[derive(Clone, Copy)]
+struct Fifo {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+const EMPTY_FIFO: Fifo = Fifo {
+    head: NIL,
+    tail: NIL,
+    len: 0,
+};
+
+/// Every node's send queue in one slab, plus the busy-node bitset.
+#[derive(Default)]
+struct SendQueues {
+    fifos: Vec<Fifo>,
+    slots: Vec<Slot>,
+    free: u32,
+    /// Bit `v` set iff node `v`'s queue is nonempty.
+    busy: Vec<u64>,
+    /// Frames queued across all nodes.
+    live: usize,
+}
+
+impl SendQueues {
+    fn reset(&mut self, n: usize) {
+        self.fifos.clear();
+        self.fifos.resize(n, EMPTY_FIFO);
+        self.slots.clear();
+        self.free = NIL;
+        self.busy.clear();
+        self.busy.resize(n.div_ceil(64), 0);
+        self.live = 0;
+    }
+
+    #[inline]
+    fn len(&self, node: u32) -> usize {
+        self.fifos[node as usize].len as usize
+    }
+
+    #[inline]
+    fn push(&mut self, node: u32, frame: Frame) {
+        let slot = if self.free != NIL {
+            let slot = self.free;
+            self.free = self.slots[slot as usize].next;
+            self.slots[slot as usize] = Slot { frame, next: NIL };
+            slot
+        } else {
+            assert!(
+                self.slots.len() < NIL as usize,
+                "more than 2^32 - 1 frames queued at once"
+            );
+            self.slots.push(Slot { frame, next: NIL });
+            (self.slots.len() - 1) as u32
+        };
+        let fifo = &mut self.fifos[node as usize];
+        if fifo.len == 0 {
+            fifo.head = slot;
+            self.busy[node as usize >> 6] |= 1 << (node & 63);
+        } else {
+            self.slots[fifo.tail as usize].next = slot;
+        }
+        fifo.tail = slot;
+        fifo.len += 1;
+        self.live += 1;
+    }
+
+    /// Pops the head of a nonempty queue; clears the node's busy bit
+    /// when the queue drains.
+    #[inline]
+    fn pop(&mut self, node: u32) -> Frame {
+        let fifo = &mut self.fifos[node as usize];
+        debug_assert!(fifo.len > 0, "pop from an empty queue");
+        let slot = fifo.head;
+        let Slot { frame, next } = self.slots[slot as usize];
+        fifo.head = next;
+        fifo.len -= 1;
+        if fifo.len == 0 {
+            fifo.tail = NIL;
+            self.busy[node as usize >> 6] &= !(1 << (node & 63));
+        }
+        self.slots[slot as usize].next = self.free;
+        self.free = slot;
+        self.live -= 1;
+        frame
+    }
+
+    /// True when every queue is empty and every slot is back on the
+    /// free list (checked at quiescence in debug builds).
+    fn drained(&self) -> bool {
+        let mut free = 0usize;
+        let mut slot = self.free;
+        while slot != NIL && free <= self.slots.len() {
+            free += 1;
+            slot = self.slots[slot as usize].next;
+        }
+        self.live == 0
+            && self.busy.iter().all(|&w| w == 0)
+            && self.fifos.iter().all(|f| f.len == 0 && f.head == NIL)
+            && free == self.slots.len()
     }
 }
 
 /// Exact copy accounting over one replication. Two identities hold at
-/// quiescence (asserted by the conservation proptests):
+/// quiescence (asserted by the engine in debug builds and by the
+/// conservation proptests):
 /// `copies_created = copies_dropped + copies_sent` (queues drain), and
 /// `copies_sent = copies_lost + copies_to_crashed + copies_delivered +
 /// copies_duplicate` (every sent copy is classified once).
@@ -118,15 +243,18 @@ pub struct StreamOutcome {
     pub counters: StreamCounters,
 }
 
-/// Arena-reused scratch: receipt bitsets, queues, the two-round frame
-/// calendar, and target-pick marks survive across replications so the
-/// per-replication cost is O(work), not O(allocations).
+/// Arena-reused scratch: receipt bitsets, the send-queue slab, the id
+/// pool, the two-round frame calendar, and target-pick marks survive
+/// across replications so the per-replication cost is O(work), not
+/// O(allocations).
 #[derive(Default)]
 pub struct StreamScratch {
     /// Receipt bits, `messages × words_per_message(n)`.
     received: Vec<u64>,
     words: usize,
-    queues: Vec<VecDeque<Frame>>,
+    queues: SendQueues,
+    /// Message ids of multi-id frames, appended once per relay group.
+    pool: Vec<u32>,
     arrivals: Vec<Frame>,
     arrivals_next: Vec<Frame>,
     /// Distinct-target marks: `mark[v] == generation` means picked.
@@ -147,27 +275,24 @@ impl StreamScratch {
         self.words = n.div_ceil(64);
         self.received.clear();
         self.received.resize(messages * self.words, 0);
-        if self.queues.len() < n {
-            self.queues.resize_with(n, VecDeque::new);
-        }
-        for q in &mut self.queues[..n] {
-            q.clear();
-        }
+        self.queues.reset(n);
+        self.pool.clear();
         self.arrivals.clear();
         self.arrivals_next.clear();
         self.mark.clear();
         self.mark.resize(n, 0);
         self.generation = 0;
     }
+}
 
-    #[inline]
-    fn receive(&mut self, msg: u32, node: u32) -> bool {
-        let word = msg as usize * self.words + (node as usize >> 6);
-        let bit = 1u64 << (node & 63);
-        let seen = self.received[word] & bit != 0;
-        self.received[word] |= bit;
-        !seen
-    }
+/// Marks `node`'s receipt of `msg`; true on its first receipt.
+#[inline]
+fn receive(received: &mut [u64], words: usize, msg: u32, node: u32) -> bool {
+    let word = &mut received[msg as usize * words + (node as usize >> 6)];
+    let bit = 1u64 << (node & 63);
+    let seen = *word & bit != 0;
+    *word |= bit;
+    !seen
 }
 
 /// Runs one replication of a k-message stream; see the module docs for
@@ -189,7 +314,6 @@ pub fn run_stream(
 
     let mut counters = StreamCounters::default();
     let mut reached = vec![0u32; messages];
-    let mut pending_frames = 0usize;
     let bandwidth = p.bandwidth.unwrap_or(usize::MAX);
     let mut next_injection = 0usize;
     let mut round = 0u64;
@@ -201,7 +325,7 @@ pub fn run_stream(
         group.clear();
         while next_injection < messages && p.injections[next_injection] <= round {
             let msg = next_injection as u32;
-            if scratch.receive(msg, p.source) {
+            if receive(&mut scratch.received, scratch.words, msg, p.source) {
                 reached[msg as usize] += 1;
                 record_latency(latency_hist, 0);
                 group.push(msg);
@@ -209,16 +333,7 @@ pub fn run_stream(
             next_injection += 1;
         }
         if !group.is_empty() {
-            relay(
-                p,
-                scratch,
-                rng,
-                fanout,
-                p.source,
-                &group,
-                &mut counters,
-                &mut pending_frames,
-            );
+            relay(p, scratch, rng, fanout, p.source, &group, &mut counters);
         }
         scratch.group = group;
 
@@ -232,8 +347,8 @@ pub fn run_stream(
             }
             let mut new_ids = std::mem::take(&mut scratch.new_ids);
             new_ids.clear();
-            for &msg in frame.ids() {
-                if scratch.receive(msg, node) {
+            for &msg in frame.ids(&scratch.pool) {
+                if receive(&mut scratch.received, scratch.words, msg, node) {
                     reached[msg as usize] += 1;
                     counters.copies_delivered += 1;
                     record_latency(latency_hist, round - p.injections[msg as usize]);
@@ -243,41 +358,36 @@ pub fn run_stream(
                 }
             }
             if !new_ids.is_empty() {
-                relay(
-                    p,
-                    scratch,
-                    rng,
-                    fanout,
-                    node,
-                    &new_ids,
-                    &mut counters,
-                    &mut pending_frames,
-                );
+                relay(p, scratch, rng, fanout, node, &new_ids, &mut counters);
             }
             scratch.new_ids = new_ids;
         }
         scratch.arrivals = arrivals;
         scratch.arrivals.clear();
 
-        // 3. Every node transmits up to B queued frames.
-        for queue in &mut scratch.queues[..n] {
-            for _ in 0..bandwidth {
-                let Some(frame) = queue.pop_front() else {
-                    break;
-                };
-                pending_frames -= 1;
-                counters.frames_sent += 1;
-                counters.copies_sent += frame.len as u64;
-                if p.loss > 0.0 && rng.next_f64() < p.loss {
-                    counters.copies_lost += frame.len as u64;
-                } else {
-                    scratch.arrivals_next.push(frame);
+        // 3. Every busy node, in ascending order, transmits up to B
+        // queued frames.
+        let queues = &mut scratch.queues;
+        for w in 0..queues.busy.len() {
+            let mut bits = queues.busy[w];
+            while bits != 0 {
+                let node = (w * 64 + bits.trailing_zeros() as usize) as u32;
+                bits &= bits - 1;
+                for _ in 0..bandwidth.min(queues.len(node)) {
+                    let frame = queues.pop(node);
+                    counters.frames_sent += 1;
+                    counters.copies_sent += frame.len as u64;
+                    if p.loss > 0.0 && rng.next_f64() < p.loss {
+                        counters.copies_lost += frame.len as u64;
+                    } else {
+                        scratch.arrivals_next.push(frame);
+                    }
                 }
             }
         }
 
         // 4. Quiesce, or skip idle gaps in a slow injection plan.
-        if scratch.arrivals_next.is_empty() && pending_frames == 0 {
+        if scratch.arrivals_next.is_empty() && scratch.queues.live == 0 {
             if next_injection >= messages {
                 break;
             }
@@ -287,6 +397,24 @@ pub fn run_stream(
         std::mem::swap(&mut scratch.arrivals, &mut scratch.arrivals_next);
         round += 1;
     }
+
+    debug_assert_eq!(
+        counters.copies_created,
+        counters.copies_dropped + counters.copies_sent,
+        "every created copy was sent or dropped"
+    );
+    debug_assert_eq!(
+        counters.copies_sent,
+        counters.copies_lost
+            + counters.copies_to_crashed
+            + counters.copies_delivered
+            + counters.copies_duplicate,
+        "every sent copy is classified once"
+    );
+    debug_assert!(
+        scratch.queues.drained(),
+        "quiescence leaves no queued frame, busy node or lent slot"
+    );
 
     StreamOutcome {
         reached,
@@ -309,7 +437,6 @@ fn record_latency(hist: &mut Vec<u64>, rounds: u64) {
 /// group with piggybacking; targets are distinct and exclude the
 /// relayer; frames are chunked to the frame limit and enqueued into the
 /// bounded send queue (tail drop on overflow).
-#[allow(clippy::too_many_arguments)]
 fn relay(
     p: &StreamParams<'_>,
     scratch: &mut StreamScratch,
@@ -318,19 +445,9 @@ fn relay(
     from: u32,
     new_ids: &[u32],
     counters: &mut StreamCounters,
-    pending_frames: &mut usize,
 ) {
     if p.frame_limit > 1 {
-        relay_group(
-            p,
-            scratch,
-            rng,
-            fanout,
-            from,
-            new_ids,
-            counters,
-            pending_frames,
-        );
+        relay_group(p, scratch, rng, fanout, from, new_ids, counters);
     } else {
         // Batching off: each id draws and targets independently.
         for id in new_ids {
@@ -342,13 +459,11 @@ fn relay(
                 from,
                 std::slice::from_ref(id),
                 counters,
-                pending_frames,
             );
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn relay_group(
     p: &StreamParams<'_>,
     scratch: &mut StreamScratch,
@@ -357,7 +472,6 @@ fn relay_group(
     from: u32,
     ids: &[u32],
     counters: &mut StreamCounters,
-    pending_frames: &mut usize,
 ) {
     let n = p.n;
     let draw = fanout(rng).min(n - 1);
@@ -377,19 +491,37 @@ fn relay_group(
             targets.push(candidate);
         }
     }
+    // Multi-id chunks share one copy of the group's ids in the pool.
+    let base = scratch.pool.len() as u32;
+    if ids.len() > 1 {
+        scratch.pool.extend_from_slice(ids);
+        assert!(
+            scratch.pool.len() <= u32::MAX as usize,
+            "more than 2^32 - 1 piggybacked ids in one replication"
+        );
+    }
+    let chunk_len = p.frame_limit.min(MAX_FRAME_IDS);
     for &to in &targets {
-        for chunk in ids.chunks(p.frame_limit.min(MAX_FRAME_IDS)) {
+        for (c, chunk) in ids.chunks(chunk_len).enumerate() {
             counters.copies_created += chunk.len() as u64;
-            let queue = &mut scratch.queues[from as usize];
-            if queue.len() >= p.queue_capacity {
+            if scratch.queues.len(from) >= p.queue_capacity {
                 counters.copies_dropped += chunk.len() as u64;
                 continue;
             }
-            let mut frame = Frame::new(to);
-            frame.len = chunk.len() as u8;
-            frame.ids[..chunk.len()].copy_from_slice(chunk);
-            queue.push_back(frame);
-            *pending_frames += 1;
+            let at = if chunk.len() == 1 {
+                chunk[0]
+            } else {
+                base + (c * chunk_len) as u32
+            };
+            scratch.queues.push(
+                from,
+                Frame {
+                    to,
+                    at,
+                    len: chunk.len() as u32,
+                },
+            );
+            debug_assert!(scratch.queues.len(from) <= p.queue_capacity);
         }
     }
     scratch.targets = targets;

@@ -19,8 +19,13 @@
 //! * [`run_stream`] — the engine: per-round event coalescing, one
 //!   arena-reused receipt bitset per message, bounded FIFO send queues,
 //!   per-frame loss draws, and exact copy conservation counters
-//!   ([`StreamCounters`]). Fanout sampling is injected as a closure so
-//!   this crate stays below the model layer in the dependency DAG.
+//!   ([`StreamCounters`]). Frames are 12 bytes; the ids of a multi-id
+//!   frame sit once per relay group in a per-replication id pool. All
+//!   send queues share one slab of frame slots (intrusive per-node
+//!   FIFOs plus a free list), and a busy-node bitset lets each round
+//!   visit only the nonempty queues, in ascending node order. Fanout
+//!   sampling is injected as a closure so this crate stays below the
+//!   model layer in the dependency DAG.
 //! * [`TrafficReport`] — what backends report back: per-message
 //!   reliability min/mean, sustained messages/sec, and delivery-latency
 //!   p50/p90/p99 in rounds ([`percentile`]).
@@ -33,7 +38,9 @@ pub mod plan;
 pub mod report;
 pub mod spec;
 
-pub use engine::{run_stream, Frame, StreamCounters, StreamOutcome, StreamParams, StreamScratch};
+pub use engine::{run_stream, StreamCounters, StreamOutcome, StreamParams, StreamScratch};
 pub use plan::{injection_rounds, TRAFFIC_PLAN_STREAM};
 pub use report::{percentile, TrafficReport};
-pub use spec::{ArrivalSpec, BatchingSpec, TrafficError, TrafficSpec, MAX_FRAME_IDS};
+pub use spec::{
+    ArrivalSpec, BatchingSpec, TrafficError, TrafficSpec, MAX_FRAME_IDS, MAX_INJECTION_ROUND,
+};

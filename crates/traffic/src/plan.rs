@@ -2,7 +2,7 @@
 
 use gossip_stats::rng::{SplitMix64, Xoshiro256StarStar};
 
-use crate::spec::ArrivalSpec;
+use crate::spec::{ArrivalSpec, MAX_INJECTION_ROUND};
 
 /// Seed-stream tag for injection plans, disjoint from every other
 /// stream tag in the workspace so traffic arrivals never correlate
@@ -31,8 +31,9 @@ pub fn injection_rounds(arrival: &ArrivalSpec, messages: usize, seed: u64) -> Ve
                     // ln away from 0.
                     let u = rng.next_f64();
                     at += -(1.0 - u).ln() / rate_per_round;
-                    // A degenerate (absurdly slow) plan still fits u64.
-                    at.min(u64::MAX as f64 / 2.0) as u64
+                    // The far tail of a slow plan is clamped to the
+                    // validated horizon.
+                    at.min(MAX_INJECTION_ROUND as f64) as u64
                 })
                 .collect()
         }
@@ -65,6 +66,16 @@ mod tests {
         assert!(a.windows(2).all(|w| w[0] <= w[1]), "{a:?}");
         let other = injection_rounds(&arrival, 64, 0x1CC_2009);
         assert_ne!(a, other, "distinct seeds should give distinct plans");
+    }
+
+    #[test]
+    fn slow_poisson_plan_stays_within_the_horizon() {
+        // The slowest rate validation admits: the random tail must not
+        // run past the horizon.
+        let rate_per_round = 64.0 / MAX_INJECTION_ROUND as f64;
+        let plan = injection_rounds(&ArrivalSpec::Poisson { rate_per_round }, 64, 9);
+        assert!(plan.iter().all(|&r| r <= MAX_INJECTION_ROUND), "{plan:?}");
+        assert!(plan.windows(2).all(|w| w[0] <= w[1]), "{plan:?}");
     }
 
     #[test]

@@ -9,9 +9,17 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Hard upper bound on message ids per wire frame — keeps the engine's
-/// frames inline (no per-frame allocation on the hot path).
+/// Hard upper bound on message ids per wire frame. The stream engine
+/// stores a multi-id frame as an offset into a per-replication id pool
+/// shared by every target of the relay group, so the bound is a
+/// protocol limit, not a storage one.
 pub const MAX_FRAME_IDS: usize = 16;
+
+/// Latest round an injection plan may reach (2^32). Longer plans are
+/// refused by [`TrafficSpec::validate`] and a Poisson plan's random
+/// tail is clamped to it, so a plan's horizon priced in nanoseconds of
+/// a virtual clock (round · hop latency) stays checkable in `u64`.
+pub const MAX_INJECTION_ROUND: u64 = 1 << 32;
 
 /// A malformed traffic parameter. Field-compatible with the model
 /// layer's `InvalidParameter` error (and the topology and faults
@@ -181,6 +189,15 @@ impl TrafficSpec {
                         "fixed-interval arrivals need at least one round between injections",
                     ));
                 }
+                let last = (self.messages as u64 - 1).checked_mul(every_rounds);
+                if last.is_none_or(|round| round > MAX_INJECTION_ROUND) {
+                    return Err(invalid(
+                        "every_rounds",
+                        every_rounds as f64,
+                        "the last fixed-interval injection, (messages - 1) * every_rounds, \
+                         must come by round 2^32",
+                    ));
+                }
             }
             ArrivalSpec::Poisson { rate_per_round } => {
                 if !(rate_per_round.is_finite() && rate_per_round > 0.0) {
@@ -188,6 +205,14 @@ impl TrafficSpec {
                         "rate_per_round",
                         rate_per_round,
                         "Poisson arrival rate must be finite and > 0",
+                    ));
+                }
+                if self.messages as f64 / rate_per_round > MAX_INJECTION_ROUND as f64 {
+                    return Err(invalid(
+                        "rate_per_round",
+                        rate_per_round,
+                        "the expected Poisson plan span, messages / rate_per_round, \
+                         must stay within 2^32 rounds",
                     ));
                 }
             }
@@ -280,6 +305,34 @@ mod tests {
         for spec in bad {
             assert!(spec.validate().is_err(), "{spec:?} should be rejected");
         }
+    }
+
+    #[test]
+    fn plan_horizon_is_bounded_at_2_pow_32() {
+        let fixed = |messages, every_rounds| {
+            TrafficSpec::stream(messages)
+                .with_arrival(ArrivalSpec::FixedInterval { every_rounds })
+                .validate()
+        };
+        assert!(fixed(2, MAX_INJECTION_ROUND).is_ok());
+        assert!(fixed(2, MAX_INJECTION_ROUND + 1).is_err());
+        assert!(fixed(3, MAX_INJECTION_ROUND / 2).is_ok());
+        assert!(fixed(3, MAX_INJECTION_ROUND / 2 + 1).is_err());
+        // (messages - 1) * every_rounds would wrap u64: refused, not
+        // wrapped into a small round.
+        assert!(fixed(3, u64::MAX).is_err());
+        // A single message is injected at round 0 whatever the interval.
+        assert!(fixed(1, u64::MAX).is_ok());
+
+        let poisson = |messages, rate_per_round| {
+            TrafficSpec::stream(messages)
+                .with_arrival(ArrivalSpec::Poisson { rate_per_round })
+                .validate()
+        };
+        let slowest = 64.0 / MAX_INJECTION_ROUND as f64;
+        assert!(poisson(64, slowest).is_ok());
+        let err = poisson(64, f64::from_bits(slowest.to_bits() - 1)).unwrap_err();
+        assert_eq!(err.name, "rate_per_round");
     }
 
     #[test]

@@ -53,5 +53,7 @@ fn main() {
     let gap = (sim.reliability - model.reliability).abs();
     println!("model-vs-sim gap      : {gap:.4}");
     assert!(gap < 0.02, "model and simulation disagree: {gap}");
-    println!("\nmodel and simulation agree — see DESIGN.md for the theory.");
+    println!(
+        "\nmodel and simulation agree — see the gossip_model::percolation docs for the theory."
+    );
 }
